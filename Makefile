@@ -80,8 +80,11 @@ bench-smoke:
 # times keeps wall time in seconds; benchguard takes the minimum across
 # repeats, so a single noisy run cannot fail the gate on its own.
 # allocs/op gates separately (GUARD_ALLOC_TOLERANCE, default strict:
-# any increase over a baseline that recorded allocs fails — allocation
-# counts are deterministic, unlike wall time).
+# any increase over a baseline that recorded allocs fails). The gated
+# benchmarks run at -cpu=1: worker pools default to one per GOMAXPROCS,
+# so allocation counts are deterministic only at a fixed GOMAXPROCS, and
+# benchguard refuses a result recorded at another GOMAXPROCS than its
+# baseline.
 # Knobs: GUARD_BENCHTIME, GUARD_COUNT, GUARD_TOLERANCE,
 # GUARD_ALLOC_TOLERANCE.
 GUARD_BENCHTIME ?= 20x
@@ -90,9 +93,9 @@ GUARD_TOLERANCE ?= 0.20
 GUARD_ALLOC_TOLERANCE ?= 0
 
 bench-guard:
-	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -benchmem -run XXX . > BENCH_parallel.json.tmp
+	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -cpu=1 -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -benchmem -run XXX . > BENCH_parallel.json.tmp
 	mv BENCH_parallel.json.tmp BENCH_parallel.json
-	$(GO) test -json -bench='^BenchmarkServeCache$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -benchmem -run XXX . > BENCH_serve.json.tmp
+	$(GO) test -json -bench='^BenchmarkServeCache$$' -cpu=1 -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -benchmem -run XXX . > BENCH_serve.json.tmp
 	mv BENCH_serve.json.tmp BENCH_serve.json
 	$(GO) run ./cmd/benchguard -tolerance $(GUARD_TOLERANCE) -alloc-tolerance $(GUARD_ALLOC_TOLERANCE) \
 		bench/baseline/BENCH_parallel.json:BENCH_parallel.json \
@@ -102,9 +105,9 @@ bench-guard:
 # new baselines (run after a PR that legitimately moves the numbers, on
 # the machine whose numbers the guard should trust).
 bench-baseline:
-	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -benchmem -run XXX . > bench/baseline/BENCH_parallel.json.tmp
+	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -cpu=1 -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -benchmem -run XXX . > bench/baseline/BENCH_parallel.json.tmp
 	mv bench/baseline/BENCH_parallel.json.tmp bench/baseline/BENCH_parallel.json
-	$(GO) test -json -bench='^BenchmarkServeCache$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -benchmem -run XXX . > bench/baseline/BENCH_serve.json.tmp
+	$(GO) test -json -bench='^BenchmarkServeCache$$' -cpu=1 -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -benchmem -run XXX . > bench/baseline/BENCH_serve.json.tmp
 	mv bench/baseline/BENCH_serve.json.tmp bench/baseline/BENCH_serve.json
 
 # profile regenerates the committed wrap-path CPU profile

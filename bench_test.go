@@ -26,6 +26,7 @@ import (
 	"objectrunner/internal/eqclass"
 	"objectrunner/internal/experiments"
 	"objectrunner/internal/recognize"
+	"objectrunner/internal/segment"
 	"objectrunner/internal/sitegen"
 	"objectrunner/internal/wrapper"
 )
@@ -408,6 +409,63 @@ func BenchmarkAnalyzeFixpoint(b *testing.B) {
 			pr.Support = support
 			a := base.Analyze(pr, nil, nil)
 			if len(a.EQs) == 0 {
+				b.Fatal("no classes")
+			}
+		}
+	}
+}
+
+// BenchmarkAnalyzeSitegen measures the same staged core on a realistic
+// sample, where Algorithm 2 dominates inference: the 20-page sample that
+// Algorithm 1 selects from books/bn (sitegen seed 3, 30 pages plus
+// junk), one Base build and one resumed run per support value in [3,5],
+// at workers=1 so allocs/op does not depend on the machine's CPU count.
+func BenchmarkAnalyzeSitegen(b *testing.B) {
+	cfg := sitegen.DefaultConfig()
+	cfg.Seed = 3
+	cfg.Domains = []string{"books"}
+	bench, err := sitegen.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dd := bench.Domains[0]
+	var src *sitegen.Source
+	for _, s := range dd.Sources {
+		if s.Spec.Name == "bn" {
+			src = s
+		}
+	}
+	if src == nil {
+		b.Fatal("books/bn not generated")
+	}
+	reg := recognize.NewRegistry(bench.KB, corpus.Source{Corpus: bench.Corpus, Threshold: 0.05})
+	recs, err := reg.ResolveAll(dd.SOD)
+	if err != nil {
+		b.Fatal(err)
+	}
+	regions := segment.SelectMain(src.Pages, segment.DefaultOptions())
+	res := annotate.SelectSample(regions, dd.SOD, recs, bench.KB, annotate.DefaultParams())
+	if res.Aborted || len(res.Sample) != 20 {
+		b.Fatalf("sample: aborted=%v size=%d", res.Aborted, len(res.Sample))
+	}
+	sample := make([][]*eqclass.Occurrence, len(res.Sample))
+	for i, pa := range res.Sample {
+		sample[i] = eqclass.TokenizePage(pa.Page, pa, i)
+	}
+	params := eqclass.DefaultParams()
+	params.Workers = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh := make([][]*eqclass.Occurrence, len(sample))
+		for j, page := range sample {
+			fresh[j] = eqclass.CopyPage(page)
+		}
+		base := eqclass.NewBase(fresh, params, nil, nil)
+		for support := 3; support <= 5; support++ {
+			pr := params
+			pr.Support = support
+			if a := base.Analyze(pr, nil, nil); len(a.EQs) == 0 {
 				b.Fatal("no classes")
 			}
 		}

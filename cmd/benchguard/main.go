@@ -8,20 +8,23 @@
 //
 //	BenchmarkWrapParallel/workers=4-8   	     100	  14752310 ns/op	  123456 B/op	  789 allocs/op
 //
-// is parsed into (name, ns/op, allocs/op). The trailing -N GOMAXPROCS
-// suffix is stripped so records compare across machines, and when a
-// stream carries several results for one benchmark (-count > 1), the
-// minimum of each measure is kept — the fastest observed run is the
-// least noisy estimate of what the code can do, which is the right
-// basis on loaded CI runners.
+// is parsed into (name, GOMAXPROCS, ns/op, allocs/op). The trailing -N
+// suffix is the GOMAXPROCS the benchmark ran at (go test omits it at 1).
+// Worker pools size themselves off GOMAXPROCS, so allocs/op depends on
+// it: a benchmark whose fresh record ran at another GOMAXPROCS than its
+// baseline is refused, never compared. When a stream carries several
+// results for one benchmark (-count > 1), the minimum of each measure is
+// kept — the fastest observed run is the least noisy estimate of what
+// the code can do, which is the right basis on loaded CI runners.
 //
 // Usage:
 //
 //	benchguard [-tolerance 0.20] [-alloc-tolerance 0] baseline.json:fresh.json [more pairs...]
 //
 // Exit status 1 when any benchmark present in a baseline is missing from
-// its fresh run, slower than baseline*(1+tolerance), or allocating more
-// than baseline*(1+alloc-tolerance); benchmarks only present in the
+// its fresh run, ran at another GOMAXPROCS, is slower than
+// baseline*(1+tolerance), or allocates more than
+// baseline*(1+alloc-tolerance); benchmarks only present in the
 // fresh run are reported but do not fail (they gate once they enter the
 // baseline). allocs/op gates only where the baseline recorded it (runs
 // with -benchmem), so pre-benchmem baselines stay usable. The diff table
@@ -45,24 +48,35 @@ import (
 // the name lands in its own event ("BenchmarkWrapParallel/workers=1 \t")
 // and the numbers in the next ("      20\t  14713999 ns/op\t..."), so
 // the reader recognizes three shapes and stitches name→result pairs.
-// The trailing -N GOMAXPROCS suffix is stripped from names.
+// The trailing -N GOMAXPROCS suffix is split off the names.
 var (
 	// A complete result on one line (plain `go test -bench` output).
-	fullLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
+	fullLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
 	// A name-only line announcing the benchmark the next result belongs to.
-	nameLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s*$`)
+	nameLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s*$`)
 	// A result-only line: iteration count then ns/op.
 	resultLine = regexp.MustCompile(`^\s*\d+\s+([0-9.]+) ns/op(.*)$`)
 	// The -benchmem tail of a result line.
 	allocsPart = regexp.MustCompile(`\s([0-9.]+) allocs/op`)
 )
 
-// result is the per-benchmark record the guard compares: minimum ns/op
-// across repeats, and minimum allocs/op where -benchmem was on.
+// result is the per-benchmark record the guard compares: the GOMAXPROCS
+// it ran at (0 when unknown: a result attributed only by its event's
+// Test field, which never carries the suffix), minimum ns/op across
+// repeats, and minimum allocs/op where -benchmem was on.
 type result struct {
+	procs     int
 	ns        float64
 	allocs    float64
 	hasAllocs bool
+}
+
+// procsOf reads a -N suffix; go test prints none at GOMAXPROCS=1.
+func procsOf(suffix string) int {
+	if n, err := strconv.Atoi(suffix); err == nil {
+		return n
+	}
+	return 1
 }
 
 // testEvent is the subset of the `go test -json` event stream we read.
@@ -74,15 +88,23 @@ type testEvent struct {
 
 // parseStream reads a `go test -json` (or plain `go test -bench`) stream
 // into name → best result. An empty stream is an error: a gate that
-// compared nothing must not pass.
+// compared nothing must not pass; so is one benchmark recorded at two
+// GOMAXPROCS values, whose minimum would mix two machine shapes.
 func parseStream(r io.Reader, label string) (map[string]result, error) {
 	out := make(map[string]result)
-	record := func(name, nsText, tail string) {
+	var mixed error
+	record := func(name string, procs int, nsText, tail string) {
 		ns, err := strconv.ParseFloat(nsText, 64)
 		if err != nil {
 			return
 		}
 		cur, seen := out[name]
+		if seen && procs != 0 && cur.procs != 0 && procs != cur.procs && mixed == nil {
+			mixed = fmt.Errorf("%s: %s recorded at GOMAXPROCS %d and %d", label, name, cur.procs, procs)
+		}
+		if procs != 0 {
+			cur.procs = procs
+		}
 		if !seen || ns < cur.ns {
 			cur.ns = ns
 		}
@@ -96,8 +118,9 @@ func parseStream(r io.Reader, label string) (map[string]result, error) {
 		}
 		out[name] = cur
 	}
-	// Name of the last name-only output event, waiting for its numbers.
-	pending := ""
+	// Name and GOMAXPROCS of the last name-only output event, waiting for
+	// its numbers.
+	pending, pendingProcs := "", 0
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -114,27 +137,31 @@ func parseStream(r io.Reader, label string) (map[string]result, error) {
 		switch {
 		case fullLine.MatchString(line):
 			m := fullLine.FindStringSubmatch(line)
-			record(m[1], m[2], m[3])
+			record(m[1], procsOf(m[2]), m[3], m[4])
 			pending = ""
 		case nameLine.MatchString(line):
-			pending = nameLine.FindStringSubmatch(line)[1]
+			m := nameLine.FindStringSubmatch(line)
+			pending, pendingProcs = m[1], procsOf(m[2])
 		case resultLine.MatchString(line):
 			// Prefer the stitched name; fall back to the event's Test
 			// attribution (present on the first result per benchmark, and
 			// never carrying the -N GOMAXPROCS suffix).
-			name := pending
+			name, procs := pending, pendingProcs
 			if name == "" {
-				name = ev.Test
+				name, procs = ev.Test, 0
 			}
 			if name != "" {
 				m := resultLine.FindStringSubmatch(line)
-				record(name, m[1], m[2])
+				record(name, procs, m[1], m[2])
 			}
 			pending = ""
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	if mixed != nil {
+		return nil, mixed
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("%s: no benchmark results found", label)
@@ -179,6 +206,12 @@ func comparePair(w io.Writer, basePath, freshPath string, base, fresh map[string
 		f, ok := fresh[name]
 		if !ok {
 			fmt.Fprintf(w, "  FAIL %-50s baseline %10s  fresh: missing\n", name, human(b.ns))
+			failed = true
+			continue
+		}
+		if b.procs != 0 && f.procs != 0 && b.procs != f.procs {
+			fmt.Fprintf(w, "  FAIL %-50s ran at GOMAXPROCS %d, baseline at %d: not comparable (run both at the same -cpu)\n",
+				name, f.procs, b.procs)
 			failed = true
 			continue
 		}

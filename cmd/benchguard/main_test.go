@@ -47,6 +47,52 @@ func TestParseStreamMinAcrossRepeats(t *testing.T) {
 	}
 }
 
+// TestParseStreamRecordsProcs: the -N suffix is split off the name and
+// kept as the GOMAXPROCS the result ran at; no suffix means 1.
+func TestParseStreamRecordsProcs(t *testing.T) {
+	stream := strings.Join([]string{
+		ev("BenchmarkServeCache/cache_hit-2 \t\n"),
+		ev("    1000\t     35476 ns/op\t    2088 B/op\t      63 allocs/op\n"),
+		ev("BenchmarkX   100\t 200 ns/op\t 10 allocs/op\n"),
+	}, "\n")
+	got, err := parseStream(strings.NewReader(stream), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := got["BenchmarkServeCache/cache_hit"].procs; p != 2 {
+		t.Errorf("cache_hit procs = %d, want 2", p)
+	}
+	if p := got["BenchmarkX"].procs; p != 1 {
+		t.Errorf("BenchmarkX procs = %d, want 1", p)
+	}
+}
+
+// TestParseStreamRefusesMixedProcs: one benchmark at two GOMAXPROCS
+// values in one record (-cpu=1,2) has no single minimum to gate on.
+func TestParseStreamRefusesMixedProcs(t *testing.T) {
+	stream := strings.Join([]string{
+		ev("BenchmarkX   100\t 200 ns/op\t 10 allocs/op\n"),
+		ev("BenchmarkX-2   100\t 150 ns/op\t 12 allocs/op\n"),
+	}, "\n")
+	if got, err := parseStream(strings.NewReader(stream), "t"); err == nil {
+		t.Fatalf("mixed GOMAXPROCS accepted: %v", got)
+	}
+}
+
+// TestCompareRefusesOtherProcs: a fresh result at another GOMAXPROCS than
+// its baseline fails the gate even when its numbers would pass.
+func TestCompareRefusesOtherProcs(t *testing.T) {
+	base := map[string]result{"BenchmarkHit": {procs: 1, ns: 100, allocs: 60, hasAllocs: true}}
+	fresh := map[string]result{"BenchmarkHit": {procs: 2, ns: 90, allocs: 60, hasAllocs: true}}
+	var sb strings.Builder
+	if !comparePair(&sb, "b", "f", base, fresh, 0.2, 0) {
+		t.Fatalf("GOMAXPROCS mismatch compared anyway\n%s", sb.String())
+	}
+	if !strings.Contains(sb.String(), "GOMAXPROCS") {
+		t.Errorf("verdict does not name the mismatch:\n%s", sb.String())
+	}
+}
+
 // TestParseStreamMalformed drives the parser through broken streams: it
 // must either recover the parseable results or reject the stream with an
 // error — never report an empty result set as success.

@@ -9,6 +9,7 @@ package annotate
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"objectrunner/internal/dom"
@@ -296,17 +297,25 @@ func TypeSelectivity(d *recognize.Dictionary, tf TermFreq) float64 {
 
 // PageScore computes the paper's Eq. 3 for one type on one page:
 // score(page/t) = Σ_{i'∈t in page} score(i,t)/tf(i).
+// The terms are summed in ascending order: float addition is not
+// associative, and summing in map order would let pages with equal
+// annotation mass swap places in sortByMinScore from run to run.
 func PageScore(pa *PageAnnotations, typeName string, tf TermFreq) float64 {
 	if tf == nil {
 		tf = constTF{}
 	}
-	sum := 0.0
+	var terms []float64
 	for _, as := range pa.Anns {
 		for _, a := range as {
 			if a.Type == typeName && !a.Propagated {
-				sum += a.Confidence / tf.TermFrequency(a.Value)
+				terms = append(terms, a.Confidence/tf.TermFrequency(a.Value))
 			}
 		}
+	}
+	slices.Sort(terms)
+	sum := 0.0
+	for _, t := range terms {
+		sum += t
 	}
 	return sum
 }

@@ -198,6 +198,23 @@ func TestPageScoreAndMinScore(t *testing.T) {
 	}
 }
 
+// TestPageScoreIndependentOfMapOrder pins the summation order of Eq. 3:
+// the terms below round differently depending on the order they are
+// added in, and the annotation map is iterated in random order.
+func TestPageScoreIndependentOfMapOrder(t *testing.T) {
+	pa := &PageAnnotations{Anns: make(map[*dom.Node][]Ann)}
+	for i, c := range []float64{0.1, 0.2, 0.3, 0.7, 1e-17, 0.9, 0.35, 1.1} {
+		n := dom.NewElement("div")
+		pa.Anns[n] = []Ann{{Type: "artist", Value: fmt.Sprint("v", i), Confidence: c}}
+	}
+	want := PageScore(pa, "artist", nil)
+	for i := 0; i < 200; i++ {
+		if got := PageScore(pa, "artist", nil); got != want {
+			t.Fatalf("run %d: PageScore = %v, want %v", i, got, want)
+		}
+	}
+}
+
 // sourcePages builds a synthetic source: rich pages carry concert data,
 // poor pages are navigation-only.
 func sourcePages(rich, poor int) []*dom.Node {

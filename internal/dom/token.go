@@ -111,9 +111,7 @@ func (z *Tokenizer) nextText(tok *Token) {
 }
 
 func (z *Tokenizer) nextRawText(tok *Token) {
-	end := "</" + z.rawTag
-	low := strings.ToLower(z.src[z.pos:])
-	idx := strings.Index(low, end)
+	idx := indexEndTag(z.src[z.pos:], z.rawTag)
 	if idx < 0 {
 		// Unterminated raw element: consume everything.
 		text := z.src[z.pos:]
@@ -128,7 +126,7 @@ func (z *Tokenizer) nextRawText(tok *Token) {
 		tag := z.rawTag
 		z.rawTag = ""
 		// Advance past "</tag" then to '>'.
-		z.pos += len(end)
+		z.pos += len("</") + len(tag)
 		for z.pos < len(z.src) && z.src[z.pos] != '>' {
 			z.pos++
 		}
@@ -143,6 +141,43 @@ func (z *Tokenizer) nextRawText(tok *Token) {
 	z.pos += idx
 	tok.Type = TextToken
 	tok.Data = text
+}
+
+// indexEndTag returns the index of the first "</" + tag in s, matching
+// the name ASCII-case-insensitively as HTML does (tag is lower-case), or
+// -1. It scans s once and allocates nothing, so a page with many raw-text
+// elements tokenizes in linear time, and the index is into s itself —
+// lower-casing a copy would shift it past any rune whose lower-case form
+// is longer.
+func indexEndTag(s, tag string) int {
+	for i := 0; ; i += 2 {
+		j := strings.Index(s[i:], "</")
+		if j < 0 {
+			return -1
+		}
+		i += j
+		if hasPrefixFoldASCII(s[i+2:], tag) {
+			return i
+		}
+	}
+}
+
+// hasPrefixFoldASCII reports whether s begins with the lower-case ASCII
+// prefix, ignoring the case of ASCII letters in s.
+func hasPrefixFoldASCII(s, prefix string) bool {
+	if len(s) < len(prefix) {
+		return false
+	}
+	for i := 0; i < len(prefix); i++ {
+		b := s[i]
+		if 'A' <= b && b <= 'Z' {
+			b += 'a' - 'A'
+		}
+		if b != prefix[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // nextTag attempts to lex a tag, comment or doctype at the current '<',

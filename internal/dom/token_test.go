@@ -1,8 +1,10 @@
 package dom
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // tokens drains the tokenizer over src.
@@ -125,5 +127,65 @@ func TestRawTextFalseEndPrefix(t *testing.T) {
 	}
 	if got := text.String(); got != "if (a</b) {}" {
 		t.Errorf("script text = %q", got)
+	}
+}
+
+// TestRawTextNonASCIIKeepsOffsets: the end-tag index must point into the
+// source itself. Lower-casing a copy of the source first skews it by one
+// byte per 'İ' (whose lower-case form is a byte longer) and splits the
+// script text.
+func TestRawTextNonASCIIKeepsOffsets(t *testing.T) {
+	toks := tokens(`<script>var s='İİİİ';</script><p>after</p>`)
+	want := []Token{
+		{Type: StartTagToken, Data: "script"},
+		{Type: TextToken, Data: "var s='İİİİ';"},
+		{Type: EndTagToken, Data: "script"},
+		{Type: StartTagToken, Data: "p"},
+		{Type: TextToken, Data: "after"},
+		{Type: EndTagToken, Data: "p"},
+	}
+	if len(toks) != len(want) {
+		t.Fatalf("got %d tokens %+v, want %d", len(toks), toks, len(want))
+	}
+	for i := range want {
+		if toks[i].Type != want[i].Type || toks[i].Data != want[i].Data {
+			t.Errorf("token %d = %+v, want %+v", i, toks[i], want[i])
+		}
+	}
+}
+
+// TestRawTextLinear: tokenizing a page of many raw-text elements must
+// grow linearly. Doubling the element count may at most multiply the
+// bytes allocated (beyond a small allowance for runtime noise), and the
+// best of seven timings, by 2.5. The upper-case letters make any
+// lower-cased copy of the remaining document show up as allocation.
+func TestRawTextLinear(t *testing.T) {
+	page := func(n int) string {
+		return strings.Repeat("<script>var X = 1;</script><STYLE>p{}</STYLE>", n)
+	}
+	cost := func(src string) (uint64, time.Duration) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		best := time.Duration(1<<63 - 1)
+		for i := 0; i < 7; i++ {
+			start := time.Now()
+			z := NewTokenizer(src)
+			var tok Token
+			for z.NextInto(&tok) {
+			}
+			best = min(best, time.Since(start))
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, best
+	}
+	const n = 10000
+	bytesN, timeN := cost(page(n))
+	bytes2N, time2N := cost(page(2 * n))
+	if float64(bytes2N) > 2.5*float64(bytesN)+64<<10 {
+		t.Errorf("allocated %d bytes at N=%d, %d at 2N: superlinear", bytesN, n, bytes2N)
+	}
+	if float64(time2N) > 2.5*float64(timeN) {
+		t.Errorf("took %v at N=%d, %v at 2N: superlinear", timeN, n, time2N)
 	}
 }

@@ -83,7 +83,7 @@ func NewBase(pages [][]*Occurrence, p Params, ob *obs.Observer, tab *symtab.Tabl
 	// Criterion i: differentiate roles by HTML features (value + DOM
 	// path). Annotated words are shielded from template candidacy so that
 	// too-regular data ("New York") stays extractable (paper §II.C).
-	a.assignRolesBy(func() func(*Occurrence) roleKey { return baseKey })
+	a.assignRolesBy(baseKey)
 	b.roleKeys = a.roleKeys
 	b.stats = a.computeRoleStats()
 
@@ -271,5 +271,6 @@ func (b *Base) run(pages [][]*Occurrence, p Params, hook func(a *Analysis) bool,
 	// hierarchy.
 	computeDescOrdinals(a)
 	ob.Count("eqclass.conflicts", int64(a.Conflicts))
+	a.dropScratch()
 	return a
 }

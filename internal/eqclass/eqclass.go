@@ -1,8 +1,10 @@
 package eqclass
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -129,15 +131,15 @@ type Analysis struct {
 	tab *symtab.Table
 	// roleKeys maps role id to its structural key.
 	roleKeys []roleKey
-	// profiles holds per-class slot profiles, keyed by EQ id (filled by
+	// profiles holds per-class slot profiles, indexed by EQ id (filled by
 	// BuildHierarchy).
-	profiles map[int][]SlotProfile
+	profiles [][]SlotProfile
 	// obs receives the per-step events of AnalyzeObserved.
 	obs *obs.Observer
-	// inClass and occsBuf are scratch buffers reused across validateEQ
-	// calls (role-indexed membership bitmap; per-page member collector).
-	inClass []bool
-	occsBuf []*Occurrence
+	// scopes is the innermost-slot painting of the current hierarchy,
+	// computed once by BuildHierarchy and reused by the differentiate
+	// call that follows it (scopes depend only on the classes' tuples).
+	scopes [][]scope
 	// pageOff is the flat occurrence layout (see initLayout), shared
 	// with the Base the analysis resumed from.
 	pageOff []int
@@ -150,6 +152,16 @@ type Analysis struct {
 	// assignRolesBy calls.
 	labelsBuf []symtab.Sym
 	perOccBuf []int32
+	// ordBuf holds the positional ordinals of slotOrdinals, in the same
+	// flat layout.
+	ordBuf []int32
+	// workers, roles, statsBuf and scopeBuf hold the maps and buffers of
+	// the fan-out passes, role renumbering, role aggregation and scope
+	// painting, reused across the fixpoint's rounds.
+	workers  []workerScratch
+	roles    roleScratch
+	statsBuf statsScratch
+	scopeBuf scopeScratch
 }
 
 // roleCount returns the number of distinct roles currently assigned.
@@ -204,25 +216,25 @@ func AnalyzeTable(pages [][]*Occurrence, p Params, hook func(a *Analysis) bool, 
 // the HTML-feature base (criterion i); gen/eq/slot/ord record the
 // positional refinement of criterion (ii), tagged with the generation so
 // stale keys from earlier class ids cannot collide; ann is the interned
-// annotation label of criteria (iii)/(iv), symtab.None when absent.
+// annotation label of criteria (iii)/(iv), symtab.None when absent. All
+// fields are 32 bits wide, so the key hashes as one padding-free block.
 type roleKey struct {
-	kind          TokKind
+	kind          int32 // TokKind
 	val, pth      symtab.Sym
 	gen           int32
 	eq, slot, ord int32
 	ann           symtab.Sym
 }
 
-// legacyString composes the historical string form of a role key
+// appendLegacy appends the historical string form of a role key
 // ("kind|value|path" + "|g<gen>.eq<id>.s<slot>.o<ord>" + "|t:<label>").
 // Role numbering sorts distinct keys on this form: numbering order is
 // observable — the conflicting-annotation pass freezes roles through
 // class role-id sets recorded before the last renumbering, so a
 // different sort order would shift which roles those stale ids hit.
-// Composing the string once per distinct key (a few hundred per pass)
+// Composing the form once per distinct key (a few hundred per pass)
 // keeps the comparison cheap without hashing strings per occurrence.
-func (a *Analysis) legacyString(k roleKey) string {
-	b := make([]byte, 0, 64)
+func (a *Analysis) appendLegacy(b []byte, k roleKey) []byte {
 	b = strconv.AppendInt(b, int64(k.kind), 10)
 	b = append(b, '|')
 	b = append(b, a.tab.StringOf(k.val)...)
@@ -242,12 +254,12 @@ func (a *Analysis) legacyString(k roleKey) string {
 		b = append(b, "|t:"...)
 		b = append(b, a.tab.StringOf(k.ann)...)
 	}
-	return string(b)
+	return b
 }
 
 // baseKey is the HTML-feature role key.
 func baseKey(o *Occurrence) roleKey {
-	return roleKey{kind: o.Kind, val: o.Val, pth: o.Pth}
+	return roleKey{kind: int32(o.Kind), val: o.Val, pth: o.Pth}
 }
 
 // templateCandidate reports whether the occurrence may serve as a
@@ -307,7 +319,9 @@ func (a *Analysis) classesFrom(stats []roleStat, support int) []*EQ {
 // string and determines class ids, which are visible in reports, so the
 // historical ordering is load-bearing.
 func groupRoles(stats []roleStat, support int) [][]int {
-	groups := make(map[string][]int)
+	index := make(map[string]int) // vector key -> group
+	var keys []string
+	var groups [][]int
 	var buf []byte
 	for r := range stats {
 		st := &stats[r]
@@ -315,17 +329,20 @@ func groupRoles(stats []roleStat, support int) [][]int {
 			continue
 		}
 		buf = appendVector(buf[:0], st.vector)
-		key := string(buf)
-		groups[key] = append(groups[key], r)
+		g, ok := index[string(buf)]
+		if !ok {
+			g = len(groups)
+			key := string(buf)
+			index[key] = g
+			keys = append(keys, key)
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], r)
 	}
-	gkeys := make([]string, 0, len(groups))
-	for k := range groups {
-		gkeys = append(gkeys, k)
-	}
-	sort.Strings(gkeys)
-	out := make([][]int, 0, len(gkeys))
-	for _, gk := range gkeys {
-		out = append(out, groups[gk])
+	sort.Strings(keys)
+	out := make([][]int, len(keys))
+	for i, k := range keys {
+		out[i] = groups[index[k]]
 	}
 	return out
 }
@@ -370,8 +387,7 @@ func appendVector(buf []byte, v []int) []byte {
 // the caller owns the accounting (countInvalidGroup), so the base
 // snapshot can validate once and re-report per sharded run.
 func (a *Analysis) salvageEQs(roles []int, stats []roleStat) (out []*EQ, invalid bool) {
-	vector := stats[roles[0]].vector
-	if eq := a.validateEQ(roles, vector); eq != nil {
+	if eq := validateEQ(roles, stats); eq != nil {
 		return []*EQ{eq}, false
 	}
 	// The same-vector group failed the ordered-and-nested test and enters
@@ -386,7 +402,7 @@ func (a *Analysis) salvageEQs(roles []int, stats []roleStat) (out []*EQ, invalid
 		}
 	}
 	if len(tags) > 0 && len(tags) < len(roles) {
-		if eq := a.validateEQ(tags, vector); eq != nil {
+		if eq := validateEQ(tags, stats); eq != nil {
 			return []*EQ{eq}, true
 		}
 	}
@@ -404,7 +420,7 @@ func (a *Analysis) salvageEQs(roles []int, stats []roleStat) (out []*EQ, invalid
 	sort.Strings(paths)
 	for _, p := range paths {
 		// Subgroups inherit the ascending role order of tags.
-		if eq := a.validateEQ(byPath[p], vector); eq != nil {
+		if eq := validateEQ(byPath[p], stats); eq != nil {
 			out = append(out, eq)
 		}
 	}
@@ -416,140 +432,116 @@ func (a *Analysis) salvageEQs(roles []int, stats []roleStat) (out []*EQ, invalid
 // repeated vector[p] times. It returns the class with its tuples, or nil
 // when invalid (such classes are discarded — Algorithm 2, "handle invalid
 // EQs").
-func (a *Analysis) validateEQ(roles []int, vector []int) *EQ {
+//
+// The roles share one occurrence vector, so on page p each role has
+// exactly vector[p] occurrences, a contiguous run of its stats occurrence
+// list (page order, then position). σ is the order of the roles' first
+// occurrences on the first page they appear on, and the page is σ
+// repeated exactly when the t-th occurrence of σ[i] sits before the t-th
+// of σ[i+1] and the t-th of σ[k-1] before the (t+1)-th of σ[0] — so the
+// check reads the role lists, never the pages.
+func validateEQ(roles []int, stats []roleStat) *EQ {
 	k := len(roles)
-	if len(a.inClass) < a.roleCount() {
-		a.inClass = make([]bool, a.roleCount())
+	vector := stats[roles[0]].vector
+	n := 0
+	for _, c := range vector {
+		n += c
 	}
-	inClass := a.inClass
-	for _, r := range roles {
-		inClass[r] = true
-	}
-	defer func() {
-		for _, r := range roles {
-			inClass[r] = false
-		}
-	}()
-	var sigma []int
-	var sigmaOccs []*Occurrence
-	tuples := make([][]Tuple, len(a.Pages))
-	for pi, page := range a.Pages {
-		occs := a.occsBuf[:0]
-		for _, o := range page {
-			if inClass[o.role] {
-				occs = append(occs, o)
-			}
-		}
-		a.occsBuf = occs[:0]
-		if len(occs) != k*vector[pi] {
-			return nil // should not happen; defensive
-		}
-		if len(occs) == 0 {
-			continue
-		}
-		if sigma == nil {
-			// Derive σ from the first tuple: k distinct roles.
-			seen := make(map[int]bool, k)
-			for i := 0; i < k; i++ {
-				r := occs[i].role
-				if seen[r] {
-					return nil
-				}
-				seen[r] = true
-				sigma = append(sigma, r)
-				sigmaOccs = append(sigmaOccs, occs[i])
-			}
-		}
-		// The page must be σ repeated vector[pi] times.
-		for i, o := range occs {
-			if o.role != sigma[i%k] {
-				return nil
-			}
-		}
-		for t := 0; t < vector[pi]; t++ {
-			pos := make([]int, k)
-			for i := 0; i < k; i++ {
-				pos[i] = occs[t*k+i].Pos
-			}
-			tuples[pi] = append(tuples[pi], Tuple{Positions: pos})
-		}
-	}
-	if sigma == nil {
+	if n == 0 {
 		return nil
 	}
-	descs := make([]Desc, k)
-	for i, o := range sigmaOccs {
-		descs[i] = DescOf(o)
+	// Order the roles into σ by their first occurrence: every role's list
+	// starts on the same (first covered) page.
+	sigma := slices.Clone(roles)
+	slices.SortFunc(sigma, func(x, y int) int {
+		return cmp.Compare(stats[x].occs[0].Pos, stats[y].occs[0].Pos)
+	})
+	tuples := make([][]Tuple, len(vector))
+	tupArena := make([]Tuple, n)
+	// One int arena holds the class's own copy of the vector (the stats
+	// buffers are reused by the next aggregation) and every tuple.
+	posArena := make([]int, len(vector)+n*k)
+	vec := posArena[:len(vector):len(vector)]
+	copy(vec, vector)
+	posArena = posArena[len(vector):]
+	off := 0 // occurrences of each role consumed on earlier pages
+	for pi, v := range vector {
+		if v == 0 {
+			continue
+		}
+		tups := tupArena[:v:v]
+		tupArena = tupArena[v:]
+		prev := -1
+		for t := range tups {
+			pos := posArena[:k:k]
+			posArena = posArena[k:]
+			for i, r := range sigma {
+				o := stats[r].occs[off+t]
+				if o.Pos <= prev {
+					return nil
+				}
+				pos[i], prev = o.Pos, o.Pos
+			}
+			tups[t] = Tuple{Positions: pos}
+		}
+		tuples[pi] = tups
+		off += v
 	}
-	return &EQ{Roles: sigma, Descs: descs, Vector: vector, Tuples: tuples}
+	descs := make([]Desc, k)
+	for i, r := range sigma {
+		descs[i] = DescOf(stats[r].occs[0])
+	}
+	return &EQ{Roles: sigma, Descs: descs, Vector: vec, Tuples: tuples}
 }
 
 // scope identifies the innermost equivalence-class slot containing a
 // token position.
 type scope struct {
-	eq    int // EQ id
-	tuple int // tuple ordinal on the page
-	slot  int // interior slot index
+	eq    int32 // EQ id; -1 outside every class
+	tuple int32 // tuple ordinal on the page
+	slot  int32 // interior slot index
 }
 
-// gap is one interior slot span of a class tuple, to be painted into the
-// page's scope row.
-type gap struct {
-	from, to int // token positions, exclusive bounds
-	sc       scope
+// scopeScratch holds computeScopes's reused buffers.
+type scopeScratch struct {
+	cells []scope
+	rows  [][]scope
 }
 
 // computeScopes paints, for every page position, the innermost (EQ,
-// tuple, slot) containing it. Wider gaps are painted first so inner
-// classes overwrite outer ones. Gaps never span pages, so the painting
-// fans out per page; the per-page sort (width desc, position, class,
-// slot) is exactly the historical global order restricted to one page,
-// and it is total — same-width overlapping gaps always paint in the same
-// order regardless of worker count.
+// tuple, slot) containing it. It runs on a built hierarchy (a.EQs as
+// BuildHierarchy leaves them), where any two class tuples are either
+// disjoint or one lies strictly inside one slot of the other, and every
+// container precedes the classes it contains: painting the classes in
+// that order lets inner classes overwrite outer ones, with no sort.
+// Pages are independent, so the painting fans out per page into one flat
+// arena; the rows live in reused buffers and are valid until the next
+// call.
 func (a *Analysis) computeScopes() [][]scope {
 	np := len(a.Pages)
-	scopes := make([][]scope, np)
-	byPage := make([][]gap, np)
-	for _, eq := range a.EQs {
-		if eq.K() < 2 {
-			continue
-		}
-		for pi, tups := range eq.Tuples {
-			for ti, t := range tups {
-				for s := 0; s+1 < len(t.Positions); s++ {
-					byPage[pi] = append(byPage[pi], gap{
-						from: t.Positions[s],
-						to:   t.Positions[s+1],
-						sc:   scope{eq: eq.ID, tuple: ti, slot: s},
-					})
-				}
-			}
-		}
+	sb := &a.scopeBuf
+	sb.cells = resize(sb.cells, a.total())
+	sb.rows = resize(sb.rows, np)
+	cells, scopes := sb.cells, sb.rows
+	for pi, page := range a.Pages {
+		scopes[pi] = cells[:len(page):len(page)]
+		cells = cells[len(page):]
 	}
 	parallel.ForEach(a.params.Workers, np, func(pi int) {
-		row := make([]scope, len(a.Pages[pi]))
+		row := scopes[pi]
 		for i := range row {
 			row[i] = scope{eq: -1}
 		}
-		gaps := byPage[pi]
-		sort.Slice(gaps, func(i, j int) bool {
-			if wi, wj := gaps[i].to-gaps[i].from, gaps[j].to-gaps[j].from; wi != wj {
-				return wi > wj
-			}
-			if gaps[i].from != gaps[j].from {
-				return gaps[i].from < gaps[j].from
-			}
-			if gaps[i].sc.eq != gaps[j].sc.eq {
-				return gaps[i].sc.eq < gaps[j].sc.eq
-			}
-			return gaps[i].sc.slot < gaps[j].sc.slot
-		})
-		for _, g := range gaps {
-			for p := g.from + 1; p < g.to; p++ {
-				row[p] = g.sc
+		for _, eq := range a.EQs {
+			for ti, t := range eq.Tuples[pi] {
+				for s := 0; s+1 < len(t.Positions); s++ {
+					sc := scope{eq: int32(eq.ID), tuple: int32(ti), slot: int32(s)}
+					for p := t.Positions[s] + 1; p < t.Positions[s+1]; p++ {
+						row[p] = sc
+					}
+				}
 			}
 		}
-		scopes[pi] = row
 	})
 	return scopes
 }
@@ -567,7 +559,7 @@ func (a *Analysis) computeScopes() [][]scope {
 // generalization at the AnnThreshold and unresolved disagreements are
 // counted as conflicts.
 func (a *Analysis) differentiate(conflicting bool, generation int) bool {
-	scopes := a.computeScopes()
+	scopes := a.scopes
 
 	// Roles of current valid classes are frozen — except, when semantic
 	// annotations are in play, those of child classes repeating a
@@ -607,9 +599,12 @@ func (a *Analysis) differentiate(conflicting bool, generation int) bool {
 		}
 	}
 
-	// Ordinal bounds: for each free (role, class, slot), the minimal
-	// occurrence count over the tuples that contain the role at all.
-	minPerSlot := a.slotMinima(scopes, frozen)
+	// Ordinals and their bounds: each free in-scope occurrence's 1-based
+	// index among its role's occurrences in its (class, tuple, slot), and
+	// for each free (role, class, slot) the minimal count over the tuples
+	// that contain the role at all.
+	minPerSlot := a.slotOrdinals(scopes, frozen)
+	ords := a.ordBuf
 
 	// Annotation labels per occurrence. Annotations apply to frozen roles
 	// too: a frozen iterator class whose token occurrences carry distinct
@@ -620,113 +615,118 @@ func (a *Analysis) differentiate(conflicting bool, generation int) bool {
 	// Recompute keys: frozen roles keep their previous key modulo the
 	// annotation label; free occurrences get base + scope/ordinal +
 	// annotation label, tagged with the generation so stale keys from
-	// earlier class ids cannot collide. Each worker gets its own ordinal
-	// counters — they are page-scoped (ordScope carries the page), so
-	// page-aligned chunks count exactly like one sequential pass.
+	// earlier class ids cannot collide.
 	gen := int32(generation)
-	return a.assignRolesBy(func() func(*Occurrence) roleKey {
-		ordinalSeen := make(map[ordScope]int)
-		return func(o *Occurrence) roleKey {
-			var ann symtab.Sym
-			if labels != nil {
-				ann = labels[a.pageOff[o.Page]+o.Pos]
-			}
-			if frozen[o.role] {
-				k := a.roleKeys[o.role]
-				k.ann = ann
-				return k
-			}
-			sc := scopes[o.Page][o.Pos]
-			k := baseKey(o)
-			if sc.eq >= 0 {
-				m := minPerSlot[rsKey{o.role, sc.eq, sc.slot}]
-				os := ordScope{o.Page, sc.eq, sc.tuple, sc.slot, o.role}
-				ordinalSeen[os]++
-				ord := ordinalSeen[os]
-				if ord > m {
-					ord = m + 1 // overflow bucket beyond the minimal count
-				}
-				k.gen = gen
-				k.eq = int32(sc.eq)
-				k.slot = int32(sc.slot)
-				k.ord = int32(ord)
-			}
+	return a.assignRolesBy(func(o *Occurrence) roleKey {
+		gi := a.pageOff[o.Page] + o.Pos
+		var ann symtab.Sym
+		if labels != nil {
+			ann = labels[gi]
+		}
+		if frozen[o.role] {
+			k := a.roleKeys[o.role]
 			k.ann = ann
 			return k
 		}
+		sc := scopes[o.Page][o.Pos]
+		k := baseKey(o)
+		if sc.eq >= 0 {
+			m := minPerSlot[rsKey{int32(o.role), sc.eq, sc.slot}].min
+			ord := ords[gi]
+			if ord > m {
+				ord = m + 1 // overflow bucket beyond the minimal count
+			}
+			k.gen = gen
+			k.eq = sc.eq
+			k.slot = sc.slot
+			k.ord = ord
+		}
+		k.ann = ann
+		return k
 	})
 }
 
 // rsKey identifies a free role within one slot of one class, for the
 // ordinal bounds of positional differentiation.
 type rsKey struct {
-	role, eq, slot int
+	role, eq, slot int32
 }
 
-// ordScope scopes an ordinal counter to one role inside one tuple slot
-// on one page.
-type ordScope struct {
-	page, eq, tuple, slot, role int
+// slotAgg accumulates one (role, class, slot)'s occurrence counts per
+// class repetition.
+type slotAgg struct {
+	page, tuple int32 // identity of the current run
+	count       int32 // occurrences in the current run
+	min         int32 // min over finalized runs; -1 until one finishes
 }
 
-// slotMinima computes, for each free (role, class, slot), the minimal
-// occurrence count over the (page, tuple) pairs containing the role.
-// Tuples never span pages, so per-chunk partial minima merge by min —
-// commutative, hence worker-count independent.
-func (a *Analysis) slotMinima(scopes [][]scope, frozen []bool) map[rsKey]int {
+// slotOrdinals numbers, in a.ordBuf (indexed by the pageOff layout), each
+// free in-scope occurrence within its role's occurrences in its (page,
+// class, tuple, slot), and returns for each free (role, class, slot) the
+// minimal such count over the (page, tuple) pairs containing the role,
+// in the min field of the aggregates.
+//
+// A key's occurrences of one class repetition are contiguous in page
+// position order (tuples of a class never interleave), so the counts
+// reduce by run-length without a nested map, and the running count is
+// the occurrence's ordinal. Tuples never span pages, so per-chunk
+// partial minima merge by min — commutative, hence worker-count
+// independent. The maps are the workers' reused scratch: the result is
+// valid until the next call.
+func (a *Analysis) slotOrdinals(scopes [][]scope, frozen []bool) map[rsKey]slotAgg {
 	np := len(a.Pages)
-	// A key's occurrences of one class repetition are contiguous in page
-	// position order (tuples of a class never interleave), so the
-	// per-(page,tuple) counts reduce by run-length without a nested map.
-	type slotAgg struct {
-		page, tuple int32 // identity of the current run
-		count       int32 // occurrences in the current run
-		min         int32 // min over finalized runs; -1 until one finishes
-	}
+	a.growWorkers()
+	a.ordBuf = resize(a.ordBuf, a.total())
+	ords := a.ordBuf
 	locals, _ := parallel.MapWorkersCtx(nil, a.params.Workers, np,
-		func(_ context.Context, _ int, c parallel.Chunk) (map[rsKey]int, error) {
-			aggs := make(map[rsKey]slotAgg)
+		func(_ context.Context, worker int, c parallel.Chunk) (map[rsKey]slotAgg, error) {
+			ws := &a.workers[worker]
+			if ws.aggs == nil {
+				ws.aggs = make(map[rsKey]slotAgg)
+			}
+			aggs := ws.aggs
+			clear(aggs)
 			for pi := c.Lo; pi < c.Hi; pi++ {
+				gi := a.pageOff[pi]
 				for i, o := range a.Pages[pi] {
 					sc := scopes[pi][i]
 					if sc.eq < 0 || frozen[o.role] {
 						continue
 					}
-					k := rsKey{o.role, sc.eq, sc.slot}
+					k := rsKey{int32(o.role), sc.eq, sc.slot}
 					ag, ok := aggs[k]
-					if !ok {
-						aggs[k] = slotAgg{page: int32(pi), tuple: int32(sc.tuple), count: 1, min: -1}
-						continue
-					}
-					if ag.page == int32(pi) && ag.tuple == int32(sc.tuple) {
+					switch {
+					case !ok:
+						ag = slotAgg{page: int32(pi), tuple: sc.tuple, count: 1, min: -1}
+					case ag.page == int32(pi) && ag.tuple == sc.tuple:
 						ag.count++
-					} else {
+					default:
 						if ag.min < 0 || ag.count < ag.min {
 							ag.min = ag.count
 						}
-						ag.page, ag.tuple, ag.count = int32(pi), int32(sc.tuple), 1
+						ag.page, ag.tuple, ag.count = int32(pi), sc.tuple, 1
 					}
+					aggs[k] = ag
+					ords[gi+i] = ag.count
+				}
+			}
+			// Close the open runs: each is a run like any other.
+			for k, ag := range aggs {
+				if ag.min < 0 || ag.count < ag.min {
+					ag.min = ag.count
 					aggs[k] = ag
 				}
 			}
-			local := make(map[rsKey]int, len(aggs))
-			for k, ag := range aggs {
-				m := ag.count // the open run is a run like any other
-				if ag.min >= 0 && ag.min < m {
-					m = ag.min
-				}
-				local[k] = int(m)
-			}
-			return local, nil
+			return aggs, nil
 		})
 	if len(locals) == 0 {
-		return map[rsKey]int{}
+		return nil
 	}
 	out := locals[0]
 	for _, local := range locals[1:] {
-		for k, m := range local {
-			if cur, ok := out[k]; !ok || m < cur {
-				out[k] = m
+		for k, ag := range local {
+			if cur, ok := out[k]; !ok || ag.min < cur.min {
+				out[k] = ag
 			}
 		}
 	}

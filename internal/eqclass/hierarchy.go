@@ -348,13 +348,21 @@ func (a *Analysis) TopEQs() []*EQ {
 
 // SlotProfilesOf returns the computed slot profiles of a class.
 func (a *Analysis) SlotProfilesOf(e *EQ) []SlotProfile {
+	if e.ID >= len(a.profiles) {
+		return nil
+	}
 	return a.profiles[e.ID]
 }
 
 // computeSlotProfiles paints innermost scopes with the hierarchy's
-// classes and aggregates the data tokens of each slot.
+// classes — keeping the painting for the differentiate pass that follows
+// — and aggregates the data tokens of each slot.
 func computeSlotProfiles(a *Analysis) {
-	a.profiles = make(map[int][]SlotProfile)
+	maxID := 0
+	for _, e := range a.EQs {
+		maxID = max(maxID, e.ID)
+	}
+	a.profiles = make([][]SlotProfile, maxID+1)
 	for _, e := range a.EQs {
 		ps := make([]SlotProfile, e.Slots())
 		for i := range ps {
@@ -367,25 +375,28 @@ func computeSlotProfiles(a *Analysis) {
 			}
 		}
 	}
-	// Separator roles of the hierarchy.
-	sepRoles := make(map[int]bool)
+	// Separator roles of the hierarchy. Class role ids may be stale (see
+	// differentiate); ids past the current role count match no token.
+	sepRoles := make([]bool, a.roleCount())
 	for _, e := range a.EQs {
 		for _, r := range e.Roles {
-			sepRoles[r] = true
+			if r < len(sepRoles) {
+				sepRoles[r] = true
+			}
 		}
 	}
-	scopes := a.computeScopes()
+	a.scopes = a.computeScopes()
 	for pi, page := range a.Pages {
 		for i, o := range page {
-			if sepRoles[o.role] {
+			if o.role < len(sepRoles) && sepRoles[o.role] {
 				continue
 			}
-			sc := scopes[pi][i]
+			sc := a.scopes[pi][i]
 			if sc.eq < 0 {
 				continue
 			}
-			profs, ok := a.profiles[sc.eq]
-			if !ok || sc.slot >= len(profs) {
+			profs := a.profiles[sc.eq]
+			if int(sc.slot) >= len(profs) {
 				continue
 			}
 			p := &profs[sc.slot]

@@ -1,8 +1,11 @@
 package eqclass
 
 import (
+	"bytes"
+	"cmp"
 	"context"
-	"sort"
+	"encoding/binary"
+	"slices"
 
 	"objectrunner/internal/parallel"
 )
@@ -30,11 +33,72 @@ func (a *Analysis) initLayout() {
 	a.pageOff = off
 }
 
-// assignRolesBy recomputes role ids from per-occurrence keys. mk returns
-// a fresh key function per worker: key functions may be stateful
-// (ordinal counters), and their state is scoped to single pages
-// (ordScope includes the page), so page-aligned chunks see exactly the
-// counts a sequential pass would.
+// workerScratch holds one fan-out worker's maps and buffers, kept on the
+// analysis so the fixpoint's rounds reuse them instead of regrowing them
+// every pass. Worker w of a page-chunked pass owns entry w.
+type workerScratch struct {
+	seen map[roleKey]int32 // assignRolesBy: chunk-local key ids
+	keys []roleKey         // assignRolesBy: chunk-local keys, first-seen order
+	aggs map[rsKey]slotAgg // slotOrdinals: the chunk's slot minima
+
+	notCand []bool // computeRoleStats: role-indexed non-candidate marks
+	cur     []int  // computeRoleStats: role-indexed arena cursors
+}
+
+// roleScratch holds the sequential buffers of assignRolesBy's merge,
+// numbering and commit steps.
+type roleScratch struct {
+	idOf     map[roleKey]int32
+	keys     []roleKey
+	remap    [][]int32
+	legacy   []byte   // the distinct keys' legacy forms, back to back
+	offs     []int32  // legacy[offs[i]:offs[i+1]] is key i's form
+	heads    []uint64 // each form's first eight bytes, big-endian
+	perm     []int32
+	rank     []int32
+	oldToNew []int32
+	newToOld []int32
+}
+
+// statsScratch holds the buffers behind computeRoleStats's result.
+type statsScratch struct {
+	stats []roleStat
+	vecs  []int
+	offs  []int
+	arena []*Occurrence
+}
+
+// growWorkers sizes the per-worker scratch for a page-chunked pass.
+func (a *Analysis) growWorkers() {
+	if n := len(parallel.Chunks(a.params.Workers, len(a.Pages))); len(a.workers) < n {
+		a.workers = append(a.workers, make([]workerScratch, n-len(a.workers))...)
+	}
+}
+
+// dropScratch releases the fixpoint's reused buffers once the final
+// hierarchy is built, so an analysis kept for its result (the wrapper's
+// best run) does not pin them.
+func (a *Analysis) dropScratch() {
+	a.scopes = nil
+	a.stats = nil
+	a.labelsBuf, a.perOccBuf, a.ordBuf = nil, nil, nil
+	a.workers = nil
+	a.roles = roleScratch{}
+	a.statsBuf = statsScratch{}
+	a.scopeBuf = scopeScratch{}
+}
+
+// resize returns buf with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// assignRolesBy recomputes role ids from per-occurrence keys. key is
+// called concurrently on disjoint page chunks and must be stateless.
 //
 // Determinism across worker counts: each worker numbers the distinct
 // keys of its chunk in first-seen order; the worker lists are merged
@@ -49,19 +113,22 @@ func (a *Analysis) initLayout() {
 // partition of occurrences changed — ids may be relabelled freely (keys
 // carry generation tags), so change is detected as a broken old↔new
 // bijection, which is order-independent.
-func (a *Analysis) assignRolesBy(mk func() func(*Occurrence) roleKey) bool {
+func (a *Analysis) assignRolesBy(key func(*Occurrence) roleKey) bool {
 	np := len(a.Pages)
 	total := a.total()
-	if cap(a.perOccBuf) < total {
-		a.perOccBuf = make([]int32, total)
-	}
-	perOcc := a.perOccBuf[:total]
+	a.perOccBuf = resize(a.perOccBuf, total)
+	perOcc := a.perOccBuf
 	chunks := parallel.Chunks(a.params.Workers, np)
+	a.growWorkers()
 	locals, _ := parallel.MapWorkersCtx(nil, a.params.Workers, np,
-		func(_ context.Context, _ int, c parallel.Chunk) ([]roleKey, error) {
-			key := mk()
-			seen := make(map[roleKey]int32, len(a.roleKeys)+16)
-			keys := make([]roleKey, 0, len(a.roleKeys)+16)
+		func(_ context.Context, worker int, c parallel.Chunk) ([]roleKey, error) {
+			ws := &a.workers[worker]
+			if ws.seen == nil {
+				ws.seen = make(map[roleKey]int32, len(a.roleKeys)+16)
+			}
+			seen := ws.seen
+			clear(seen)
+			keys := ws.keys[:0]
 			for pi := c.Lo; pi < c.Hi; pi++ {
 				gi := a.pageOff[pi]
 				for _, o := range a.Pages[pi] {
@@ -76,20 +143,23 @@ func (a *Analysis) assignRolesBy(mk func() func(*Occurrence) roleKey) bool {
 					gi++
 				}
 			}
+			ws.keys = keys
 			return keys, nil
 		})
 
 	// Merge the worker-local key lists into a global first-seen list,
 	// remembering each local id's global id.
-	nguess := 0
-	for _, lk := range locals {
-		nguess += len(lk)
+	rs := &a.roles
+	if rs.idOf == nil {
+		rs.idOf = make(map[roleKey]int32, len(a.roleKeys)+16)
 	}
-	idOf := make(map[roleKey]int32, nguess)
-	keys := make([]roleKey, 0, nguess)
-	remap := make([][]int32, len(locals))
+	idOf := rs.idOf
+	clear(idOf)
+	keys := rs.keys[:0]
+	rs.remap = resize(rs.remap, len(locals))
+	remap := rs.remap
 	for w, lk := range locals {
-		rm := make([]int32, len(lk))
+		rm := resize(remap[w], len(lk))
 		for li, k := range lk {
 			gid, ok := idOf[k]
 			if !ok {
@@ -101,25 +171,41 @@ func (a *Analysis) assignRolesBy(mk func() func(*Occurrence) roleKey) bool {
 		}
 		remap[w] = rm
 	}
+	rs.keys = keys
 
 	// Final numbering: sort the distinct keys on their legacy string form
-	// (see legacyString — the order is observable through frozen stale
+	// (see appendLegacy — the order is observable through frozen stale
 	// role ids) and compose each worker remap with the sort ranks.
-	legacy := make([]string, len(keys))
+	// The forms' first eight bytes, big-endian and zero-padded, order
+	// like the bytes themselves and settle most comparisons.
+	legacy, offs := rs.legacy[:0], append(rs.offs[:0], 0)
+	rs.heads = resize(rs.heads, len(keys))
+	heads := rs.heads
 	for i, k := range keys {
-		legacy[i] = a.legacyString(k)
+		legacy = a.appendLegacy(legacy, k)
+		offs = append(offs, int32(len(legacy)))
+		var h [8]byte
+		copy(h[:], legacy[offs[i]:])
+		heads[i] = binary.BigEndian.Uint64(h[:])
 	}
-	perm := make([]int, len(keys))
+	rs.legacy, rs.offs = legacy, offs
+	form := func(i int32) []byte { return legacy[offs[i]:offs[i+1]] }
+	perm := resize(rs.perm, len(keys))
 	for i := range perm {
-		perm[i] = i
+		perm[i] = int32(i)
 	}
-	sort.Slice(perm, func(i, j int) bool {
-		if legacy[perm[i]] != legacy[perm[j]] {
-			return legacy[perm[i]] < legacy[perm[j]]
+	rs.perm = perm
+	slices.SortFunc(perm, func(i, j int32) int {
+		if c := cmp.Compare(heads[i], heads[j]); c != 0 {
+			return c
 		}
-		return keyLess(keys[perm[i]], keys[perm[j]])
+		if c := bytes.Compare(form(i), form(j)); c != 0 {
+			return c
+		}
+		return keyCmp(keys[i], keys[j])
 	})
-	rank := make([]int32, len(keys))
+	rank := resize(rs.rank, len(keys))
+	rs.rank = rank
 	sorted := make([]roleKey, len(keys))
 	for newID, old := range perm {
 		rank[old] = int32(newID)
@@ -148,8 +234,9 @@ func (a *Analysis) assignRolesBy(mk func() func(*Occurrence) roleKey) bool {
 			}
 		}
 	}
-	oldToNew := make([]int, oldRoles)
-	newToOld := make([]int, len(sorted))
+	oldToNew := resize(rs.oldToNew, oldRoles)
+	newToOld := resize(rs.newToOld, len(sorted))
+	rs.oldToNew, rs.newToOld = oldToNew, newToOld
 	for i := range oldToNew {
 		oldToNew[i] = -1
 	}
@@ -165,7 +252,7 @@ func (a *Analysis) assignRolesBy(mk func() func(*Occurrence) roleKey) bool {
 		rm := remap[w]
 		gi := a.pageOff[pi]
 		for _, o := range page {
-			r := int(rm[perOcc[gi]])
+			r := rm[perOcc[gi]]
 			gi++
 			if n := oldToNew[o.role]; n >= 0 {
 				if n != r {
@@ -175,13 +262,13 @@ func (a *Analysis) assignRolesBy(mk func() func(*Occurrence) roleKey) bool {
 				oldToNew[o.role] = r
 			}
 			if old := newToOld[r]; old >= 0 {
-				if old != o.role {
+				if int(old) != o.role {
 					changed = true
 				}
 			} else {
-				newToOld[r] = o.role
+				newToOld[r] = int32(o.role)
 			}
-			o.role = r
+			o.role = int(r)
 		}
 	}
 	a.roleKeys = sorted
@@ -191,33 +278,21 @@ func (a *Analysis) assignRolesBy(mk func() func(*Occurrence) roleKey) bool {
 	return changed
 }
 
-// keyLess is the deterministic field-wise tie-break for role keys whose
+// keyCmp is the deterministic field-wise tie-break for role keys whose
 // legacy strings collide (possible only when a path or label itself
 // contains the separator sequences). It keeps the sort total so the
 // numbering cannot depend on chunk boundaries.
-func keyLess(x, y roleKey) bool {
-	if x.kind != y.kind {
-		return x.kind < y.kind
-	}
-	if x.val != y.val {
-		return x.val < y.val
-	}
-	if x.pth != y.pth {
-		return x.pth < y.pth
-	}
-	if x.gen != y.gen {
-		return x.gen < y.gen
-	}
-	if x.eq != y.eq {
-		return x.eq < y.eq
-	}
-	if x.slot != y.slot {
-		return x.slot < y.slot
-	}
-	if x.ord != y.ord {
-		return x.ord < y.ord
-	}
-	return x.ann < y.ann
+func keyCmp(x, y roleKey) int {
+	return cmp.Or(
+		cmp.Compare(x.kind, y.kind),
+		cmp.Compare(x.val, y.val),
+		cmp.Compare(x.pth, y.pth),
+		cmp.Compare(x.gen, y.gen),
+		cmp.Compare(x.eq, y.eq),
+		cmp.Compare(x.slot, y.slot),
+		cmp.Compare(x.ord, y.ord),
+		cmp.Compare(x.ann, y.ann),
+	)
 }
 
 // computeRoleStats aggregates per-role occurrence vectors, page
@@ -227,27 +302,34 @@ func keyLess(x, y roleKey) bool {
 // so workers write disjoint slots of the shared backing array, and the
 // occurrence arena is filled through per-(worker, role) cursors derived
 // from the vector prefix sums — every cell has exactly one writer.
+//
+// The result lives in the analysis's reused buffers and is valid until
+// the next call; classes copy the vectors they keep (see validateEQ).
 func (a *Analysis) computeRoleStats() []roleStat {
 	np := len(a.Pages)
 	n := a.roleCount()
-	stats := make([]roleStat, n)
-	vecs := make([]int, n*np)
+	sb := &a.statsBuf
+	sb.stats = resize(sb.stats, n)
+	sb.vecs = resize(sb.vecs, n*np)
+	sb.offs = resize(sb.offs, n+1)
+	stats, vecs, offs := sb.stats, sb.vecs, sb.offs
+	clear(vecs)
 	for r := range stats {
-		stats[r].vector = vecs[r*np : (r+1)*np : (r+1)*np]
-		stats[r].cand = true
+		stats[r] = roleStat{vector: vecs[r*np : (r+1)*np : (r+1)*np], cand: true}
 	}
+	a.growWorkers()
 	// Pass 1: occurrence vectors, plus per-worker non-candidate marks
 	// (merged by OR — commutative, so merge order is irrelevant).
 	marks, _ := parallel.MapWorkersCtx(nil, a.params.Workers, np,
-		func(_ context.Context, _ int, c parallel.Chunk) ([]bool, error) {
-			var notCand []bool
+		func(_ context.Context, worker int, c parallel.Chunk) ([]bool, error) {
+			ws := &a.workers[worker]
+			ws.notCand = resize(ws.notCand, n)
+			notCand := ws.notCand
+			clear(notCand)
 			for pi := c.Lo; pi < c.Hi; pi++ {
 				for _, o := range a.Pages[pi] {
 					vecs[o.role*np+pi]++
 					if !a.templateCandidate(o) {
-						if notCand == nil {
-							notCand = make([]bool, n)
-						}
 						notCand[o.role] = true
 					}
 				}
@@ -262,33 +344,29 @@ func (a *Analysis) computeRoleStats() []roleStat {
 		}
 	}
 	// Page coverage and arena offsets from the completed vectors.
-	counts := make([]int, n)
 	total := 0
 	for r := range stats {
+		offs[r] = total
 		for _, c := range stats[r].vector {
 			if c > 0 {
 				stats[r].pages++
 			}
-			counts[r] += c
+			total += c
 		}
-		total += counts[r]
 	}
-	occArena := make([]*Occurrence, total)
-	offs := make([]int, n+1)
-	off := 0
-	for r := range stats {
-		offs[r] = off
-		off += counts[r]
-	}
-	offs[n] = off
+	offs[n] = total
+	sb.arena = resize(sb.arena, total)
+	occArena := sb.arena
 	// Pass 2: fill the per-role occurrence lists. A worker's cursor for
 	// role r starts at offs[r] plus the occurrences of r on all pages
 	// before its chunk — page-major iteration within the chunk then
 	// reproduces exactly the sequential page order.
 	if total > 0 {
 		parallel.MapWorkersCtx(nil, a.params.Workers, np,
-			func(_ context.Context, _ int, c parallel.Chunk) (struct{}, error) {
-				cur := make([]int, n)
+			func(_ context.Context, worker int, c parallel.Chunk) (struct{}, error) {
+				ws := &a.workers[worker]
+				ws.cur = resize(ws.cur, n)
+				cur := ws.cur
 				for r := 0; r < n; r++ {
 					base := offs[r]
 					for pi := 0; pi < c.Lo; pi++ {

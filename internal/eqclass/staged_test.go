@@ -114,7 +114,7 @@ func baseAnalysis(t *testing.T, pages [][]*Occurrence) (*Analysis, []roleStat) {
 	a := &Analysis{Pages: pages, params: DefaultParams().normalized(), tab: symtab.New()}
 	InternPages(a.tab, pages)
 	a.initLayout()
-	a.assignRolesBy(func() func(*Occurrence) roleKey { return baseKey })
+	a.assignRolesBy(baseKey)
 	return a, a.computeRoleStats()
 }
 
